@@ -5,10 +5,9 @@
 //! the headline reduction percentages, [`updates_along_route`] reproduces the
 //! Fig. 3 / Fig. 6 comparison (where along the route each protocol had to send
 //! an update), and [`ablations`] runs the additional design-choice studies
-//! DESIGN.md lists. The `reproduce` binary is a thin CLI over these functions,
-//! and the Criterion benches reuse them at reduced scale. Beyond the paper's
-//! artefacts, [`throughput`] sweeps the concurrent fleet workload over the
-//! sharded location service (objects × shards × query mix) as the service's
+//! DESIGN.md lists. The `reproduce` binary is a thin CLI over these functions.
+//! Beyond the paper's artefacts, [`throughput`] sweeps the concurrent fleet
+//! workload over the sharded location service (objects × shards × query mix) as the service's
 //! perf baseline, [`wire`] sweeps the lossy-uplink channel model over loss
 //! rates as the wire protocol's accuracy/overhead baseline, and [`netbase`]
 //! drives the TCP serving layer over loopback as the end-to-end network

@@ -3,11 +3,10 @@
 //! JSON and gated against `baselines/BENCH_scale.json`.
 //!
 //! The committed baseline runs the CI-sized axis (N up to 10⁵ at
-//! `--scale 1.0`); the criterion bench (`benches/scale_bench.rs`) carries
-//! the 10⁶ point for local runs. Result counts, occupancy diagnostics and
-//! the candidate-dedup counters are single-threaded and seed-determined, so
-//! the gate compares them strictly; wall clocks and throughputs ride along
-//! as machine-dependent sanity checks.
+//! `--scale 1.0`). Result counts, occupancy diagnostics and the
+//! candidate-dedup counters are single-threaded and seed-determined, so the
+//! gate compares them strictly; wall clocks and throughputs ride along as
+//! machine-dependent sanity checks.
 
 use mbdr_sim::{run_scale_workload, ScaleConfig, ScaleReport};
 use std::fmt::Write as _;

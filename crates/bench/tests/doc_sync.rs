@@ -1,6 +1,6 @@
 //! Doc-sync: the committed documentation must stay true to the code.
 //!
-//! Two contracts are enforced here:
+//! Three contracts are enforced here:
 //!
 //! * `docs/WIRE.md` names (in backticks) every wire/format constant defined
 //!   by `mbdr-core`'s wire modules and by `mbdr-journal`, and names no
@@ -10,6 +10,8 @@
 //!   command in [`mbdr_bench::REPRODUCE_COMMANDS`] (the same list the
 //!   binary's parser and usage string are tested against), and every
 //!   `reproduce -- <word>` invocation they show names a real command.
+//! * The shim paragraph of `README.md` lists exactly the crates under
+//!   `shims/` — deleting or adding a shim without updating the README fails.
 //!
 //! The scans are deliberately lexical — no rustc, no syn — matching the
 //! workspace's std-only analysis style (`mbdr-analyze`).
@@ -204,4 +206,31 @@ fn docs_and_usage_agree_on_the_reproduce_command_list() {
              the binary does not accept: {ghosts:?}"
         );
     }
+}
+
+#[test]
+fn readme_shim_list_matches_the_shims_directory() {
+    let root = repo_root();
+    let readme = read(&root.join("README.md"));
+    let start = readme.find("`shims/` contains").expect("README has the shim paragraph");
+    let paragraph = &readme[start..];
+    let paragraph = &paragraph[..paragraph.find("\n\n").unwrap_or(paragraph.len())];
+    // The shim list is the first parenthesised group of the paragraph.
+    let open = paragraph.find('(').expect("shim paragraph has a (list)");
+    let close = open + paragraph[open..].find(')').expect("shim list is closed");
+    let listed: BTreeSet<String> =
+        backticked_spans(&paragraph[open..close]).into_iter().map(str::to_string).collect();
+
+    let shims_dir = root.join("shims");
+    let entries = fs::read_dir(&shims_dir)
+        .unwrap_or_else(|err| panic!("read_dir {}: {err}", shims_dir.display()));
+    let mut present = BTreeSet::new();
+    for entry in entries {
+        let entry = entry.expect("dir entry");
+        if entry.file_type().expect("file type").is_dir() {
+            present.insert(entry.file_name().to_string_lossy().into_owned());
+        }
+    }
+    assert!(!present.is_empty(), "shims/ scan found nothing");
+    assert_eq!(listed, present, "README's shim list must name exactly the crates under shims/");
 }

@@ -3,7 +3,6 @@
 use crate::predictor::Predictor;
 use crate::state::{ObjectState, Update, UpdateKind};
 use mbdr_geo::Point;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// One positioning-sensor reading as consumed by the protocols.
@@ -11,7 +10,7 @@ use std::sync::Arc;
 /// (Deliberately minimal and local to this crate so that the protocol family
 /// does not depend on the trace-generation substrate; the simulator converts
 /// its `Fix` type into `Sighting`s.)
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Sighting {
     /// Timestamp, seconds.
     pub t: f64,
@@ -22,7 +21,7 @@ pub struct Sighting {
 }
 
 /// Configuration shared by all update protocols.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProtocolConfig {
     /// Requested accuracy `u_s` at the server, metres: the maximum deviation
     /// between the server-side predicted position and the actual position that

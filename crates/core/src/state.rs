@@ -2,7 +2,6 @@
 
 use mbdr_geo::Point;
 use mbdr_roadnet::{LinkId, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// The state of a mobile object as carried in an update message.
 ///
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// link identifier *o.l*, and `arc_length` / `towards` pin down where on the
 /// link the object is and in which direction it travels. Optional `turn_rate`
 /// supports the higher-order prediction variant.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ObjectState {
     /// Reported position (for the map-based protocol this is the corrected,
     /// on-link position `p_c`).
@@ -56,7 +55,7 @@ impl ObjectState {
 
 /// Why an update was sent (one byte on the wire, so the server can tell
 /// protocol mode changes from ordinary deviation-bound reports).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UpdateKind {
     /// First report after the protocol started.
     Initial,
@@ -72,7 +71,7 @@ pub enum UpdateKind {
 }
 
 /// An update message from the source to the location server.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Update {
     /// Monotonically increasing sequence number (per source).
     pub sequence: u64,

@@ -1,14 +1,13 @@
 //! Axis-aligned bounding boxes for the spatial index and range queries.
 
 use crate::point::Point;
-use serde::{Deserialize, Serialize};
 
 /// An axis-aligned bounding box in the local metric frame.
 ///
 /// Used as the key geometry of the spatial indexes in `mbdr-spatial` and for
 /// the location-service range queries ("all users currently inside a
 /// department of a store").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Aabb {
     /// Minimum (south-west) corner.
     pub min: Point,

@@ -4,11 +4,10 @@
 //! link "with the smallest angle to the previous link" (Section 3 of the
 //! paper); that comparison is [`angle_between`] on two headings.
 
-use serde::{Deserialize, Serialize};
 use std::f64::consts::{PI, TAU};
 
 /// A compass heading in radians clockwise from north, normalised to `[0, 2π)`.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Bearing(f64);
 
 impl Bearing {

@@ -1,7 +1,6 @@
 //! Positions in the local metric frame and in WGS-84 coordinates.
 
 use crate::vec2::Vec2;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub, SubAssign};
 
@@ -12,7 +11,7 @@ use std::ops::{Add, AddAssign, Sub, SubAssign};
 /// deviation checks in the dead-reckoning protocols — "is the actual position
 /// farther than `u_s` from the predicted position?" — are Euclidean distances
 /// between `Point`s in this frame.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point {
     /// Easting in metres.
     pub x: f64,
@@ -143,7 +142,7 @@ impl From<Point> for (f64, f64) {
 ///
 /// The paper's traces are DGPS output; [`crate::projection::LocalProjection`]
 /// maps them into the local metric frame in which the protocols operate.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct GeoPoint {
     /// Latitude in degrees, positive north. Valid range −90…90.
     pub lat: f64,

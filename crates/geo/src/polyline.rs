@@ -11,11 +11,10 @@ use crate::bbox::Aabb;
 use crate::point::Point;
 use crate::segment::Segment;
 use crate::vec2::Vec2;
-use serde::{Deserialize, Serialize};
 
 /// A chain of at least two vertices in the local metric frame, with
 /// precomputed cumulative arc lengths.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Polyline {
     vertices: Vec<Point>,
     /// `cumulative[i]` is the arc length from the first vertex to vertex `i`.

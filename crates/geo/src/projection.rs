@@ -8,7 +8,6 @@
 //! minimum accuracy the paper evaluates.
 
 use crate::point::{GeoPoint, Point};
-use serde::{Deserialize, Serialize};
 
 /// Equirectangular projection centred on a reference geodetic point.
 ///
@@ -17,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// at the reference point and its error grows quadratically with distance;
 /// over a 200 km × 200 km area the distortion stays below ~0.3 %, which is
 /// negligible relative to GPS noise and the accuracy bounds studied here.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LocalProjection {
     origin: GeoPoint,
     /// Metres per degree of latitude at the origin.

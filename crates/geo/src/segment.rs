@@ -6,10 +6,9 @@
 
 use crate::point::Point;
 use crate::vec2::Vec2;
-use serde::{Deserialize, Serialize};
 
 /// A directed straight-line segment from `a` to `b` in the local metric frame.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Segment {
     /// Start point.
     pub a: Point,

@@ -1,6 +1,5 @@
 //! Planar displacement vectors.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul, Neg, Sub, SubAssign};
 
@@ -9,7 +8,7 @@ use std::ops::{Add, AddAssign, Mul, Neg, Sub, SubAssign};
 ///
 /// The linear-prediction dead-reckoning protocol predicts
 /// `pos + dir * v * (t - t0)` — `dir` is a unit `Vec2`, `v` a scalar speed.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec2 {
     /// East component (metres, or m/s for velocities).
     pub x: f64,

@@ -9,14 +9,12 @@
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-use parking_lot::Mutex;
 
 use crate::error::JournalError;
 use crate::stats::{JournalStats, JournalStatsSnapshot};
-use crate::vfs::{RealFs, Vfs, VfsFile};
+use crate::vfs::{locked, RealFs, Vfs, VfsFile};
 
 /// First eight bytes of every segment file.
 pub const SEGMENT_MAGIC: [u8; 8] = *b"MBDRJRNL";
@@ -294,7 +292,7 @@ impl Journal {
         len_part.copy_from_slice(&(len as u32).to_be_bytes());
         crc_part.copy_from_slice(&crc32(bytes).to_be_bytes());
 
-        let mut writer = self.writer.lock();
+        let mut writer = locked(&self.writer);
         let record_len = (RECORD_HEADER_LEN + len) as u64;
         if writer.segment_bytes + record_len > self.config.segment_max_bytes
             && writer.segment_bytes > SEGMENT_HEADER_LEN as u64
@@ -335,7 +333,7 @@ impl Journal {
     /// Forces an `fdatasync` of the active segment if any appended frames are
     /// not yet known-durable. Called by graceful shutdown paths.
     pub fn flush(&self) -> Result<(), JournalError> {
-        let mut writer = self.writer.lock();
+        let mut writer = locked(&self.writer);
         if writer.unsynced > 0 {
             writer.file.sync_data()?;
             self.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
@@ -358,7 +356,7 @@ impl Journal {
     /// of them were ever acknowledged. Returns `Ok` only if the disk accepted
     /// every repair write, so a success means appends can flow again.
     pub fn repair_and_sync(&self) -> Result<(), JournalError> {
-        let mut writer = self.writer.lock();
+        let mut writer = locked(&self.writer);
         let segments = list_numbered(
             self.vfs.as_ref(),
             &self.config.dir,
@@ -391,7 +389,7 @@ impl Journal {
     /// were validated at open, so a failure here is a typed
     /// [`JournalError::Corrupt`] indicating external modification.
     pub fn replay(&self, mut sink: impl FnMut(u64, &[u8])) -> Result<u64, JournalError> {
-        let _writer = self.writer.lock();
+        let _writer = locked(&self.writer);
         let segments = list_numbered(
             self.vfs.as_ref(),
             &self.config.dir,
@@ -613,7 +611,7 @@ impl Journal {
         // (all of its records are then covered by the snapshot). The active
         // segment is always last and therefore never removed; the writer lock
         // is held so rotation cannot race the deletions.
-        let writer = self.writer.lock();
+        let writer = locked(&self.writer);
         let segments = list_numbered(
             self.vfs.as_ref(),
             &self.config.dir,

@@ -22,10 +22,15 @@
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
+/// Locks `mutex`, recovering the guard when a panicking holder poisoned it:
+/// poisoning is deliberately not propagated, so one panic does not turn every
+/// later journal call into a panic too.
+pub(crate) fn locked<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// An open, append-positioned file handle behind the storage seam.
 pub trait VfsFile: Send {
@@ -186,7 +191,7 @@ impl FaultState {
     }
 
     fn take_fault(&self, op: u64) -> Option<FaultKind> {
-        let mut schedule = self.schedule.lock();
+        let mut schedule = locked(&self.schedule);
         let at = schedule.iter().position(|(when, _)| *when == op)?;
         Some(schedule.remove(at).1)
     }
@@ -261,7 +266,7 @@ impl FaultFs {
     /// Arms `kind` to fire at exactly the `op`-th mutating operation
     /// (0-based; see the module docs for which operations count).
     pub fn schedule_fault(&self, op: u64, kind: FaultKind) {
-        self.state.schedule.lock().push((op, kind));
+        locked(&self.state.schedule).push((op, kind));
     }
 
     /// Derives `count` faults from `seed` alone, each at an operation index in
@@ -270,7 +275,7 @@ impl FaultFs {
     pub fn schedule_from_seed(&self, seed: u64, first_op: u64, span: u64, count: u32) {
         let mut state = seed;
         let span = span.max(1);
-        let mut schedule = self.state.schedule.lock();
+        let mut schedule = locked(&self.state.schedule);
         for _ in 0..count {
             let op = first_op + splitmix64(&mut state) % span;
             let draw = splitmix64(&mut state);
@@ -304,7 +309,7 @@ impl FaultFs {
 
     /// Scheduled faults that have not fired yet.
     pub fn pending_faults(&self) -> usize {
-        self.state.schedule.lock().len()
+        locked(&self.state.schedule).len()
     }
 
     /// Advances the deterministic clock read by [`Vfs::now_nanos`].
@@ -538,10 +543,10 @@ mod tests {
         let b = FaultFs::over_real();
         a.schedule_from_seed(7, 10, 100, 8);
         b.schedule_from_seed(7, 10, 100, 8);
-        assert_eq!(*a.state.schedule.lock(), *b.state.schedule.lock());
+        assert_eq!(*locked(&a.state.schedule), *locked(&b.state.schedule));
         let c = FaultFs::over_real();
         c.schedule_from_seed(8, 10, 100, 8);
-        assert_ne!(*a.state.schedule.lock(), *c.state.schedule.lock());
+        assert_ne!(*locked(&a.state.schedule), *locked(&c.state.schedule));
     }
 
     #[test]

@@ -12,14 +12,13 @@ use crate::config::ServiceConfig;
 use crate::durability::{DurabilityControl, DurabilityStatsSnapshot};
 use crate::shard::{CandidateScratch, Shard};
 use mbdr_core::wire::snapshot::{encode_snapshot_into, SnapshotEntry};
-use mbdr_core::{DecodeError, Frame, FrameView, HealthStatus, Predictor, Update};
+use mbdr_core::{DecodeError, FrameView, HealthStatus, Predictor, Update};
 use mbdr_geo::{Aabb, Point};
 use mbdr_journal::Journal;
-use serde::{Deserialize, Serialize};
 use std::sync::{Arc, OnceLock};
 
 /// Identifier of a tracked mobile object.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ObjectId(pub u64);
 
 /// A position answer from the service.
@@ -217,19 +216,6 @@ impl LocationService {
             run_start = run_end;
         }
         applied
-    }
-
-    /// Ingests one decoded wire [`Frame`]: all of its updates belong to the
-    /// source object `ObjectId(frame.source)`, which lives on one shard, so
-    /// the whole frame costs a single write-lock acquisition. Returns the
-    /// number of updates applied (0 when the object is not registered).
-    pub fn apply_frame(&self, frame: &Frame) -> usize {
-        if frame.updates.is_empty() {
-            return 0;
-        }
-        let object = ObjectId(frame.source);
-        self.shard_of(object)
-            .write(|s| frame.updates.iter().filter(|u| s.apply_update(object, u)).count())
     }
 
     /// Decodes an encoded frame straight off the wire and ingests it — the
@@ -807,6 +793,53 @@ mod tests {
         // Corrupted bytes report the codec's typed error without panicking.
         assert!(s.apply_frame_bytes(&bytes[..bytes.len() - 3]).is_err());
         assert_eq!(s.total_updates(), 5);
+    }
+
+    #[test]
+    fn a_panic_under_a_shard_write_lock_leaves_the_service_usable() {
+        use mbdr_core::{Frame, ObjectState};
+        use std::sync::atomic::{AtomicBool, Ordering};
+
+        /// Static prediction that panics while armed.
+        struct Tripwire(AtomicBool);
+        impl Predictor for Tripwire {
+            fn predict(&self, reported: &ObjectState, _t: f64) -> Point {
+                assert!(!self.0.load(Ordering::Relaxed), "tripwire predictor fired");
+                reported.position
+            }
+            fn name(&self) -> &'static str {
+                "tripwire"
+            }
+        }
+
+        let s = LocationService::with_config(ServiceConfig::with_shards(1));
+        let tripwire = Arc::new(Tripwire(AtomicBool::new(false)));
+        s.register(ObjectId(1), Arc::clone(&tripwire) as Arc<dyn Predictor>);
+        s.register(ObjectId(2), Arc::new(StaticPredictor));
+        let frame = |object, seq, t, x, speed| {
+            Frame::single(object, update(seq, t, x, 0.0, speed, 0.0)).encode().unwrap()
+        };
+        assert_eq!(s.apply_frame_bytes(&frame(1, 0, 0.0, 0.0, 1.0)), Ok(1));
+        assert_eq!(s.apply_frame_bytes(&frame(2, 0, 0.0, 50.0, 0.0)), Ok(1));
+
+        // Far past the moving object's index horizon, so the query re-grows
+        // the index under the shard's write lock and predicts while holding it.
+        tripwire.0.store(true, Ordering::Relaxed);
+        let area = Aabb::around(Point::ORIGIN, 1_000.0);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            s.objects_in_rect(&area, 1_000.0)
+        }));
+        assert!(caught.is_err(), "the armed predictor panics");
+        assert!(s.shards[0].is_poisoned(), "the panic happened under the write lock");
+
+        // The poisoned shard still ingests and answers.
+        tripwire.0.store(false, Ordering::Relaxed);
+        assert_eq!(s.apply_frame_bytes(&frame(2, 1, 1_000.0, 75.0, 0.0)), Ok(1));
+        let mut scratch = QueryScratch::default();
+        let mut out = Vec::new();
+        s.objects_in_rect_into(&area, 1_000.0, &mut scratch, &mut out);
+        let seen: Vec<(u64, f64)> = out.iter().map(|r| (r.object.0, r.position.x)).collect();
+        assert_eq!(seen, vec![(1, 0.0), (2, 75.0)]);
     }
 
     #[test]

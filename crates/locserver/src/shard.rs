@@ -39,11 +39,10 @@ use mbdr_core::wire::snapshot::SnapshotEntry;
 use mbdr_core::{Predictor, ServerTracker, Update, UpdateKind};
 use mbdr_geo::{Aabb, Point};
 use mbdr_spatial::{MovingIndex, SeenScratch, SpatialIndex};
-use parking_lot::RwLock;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// An object tracked by one shard, stored in the dense slot arena.
 struct TrackedSlot {
@@ -459,30 +458,36 @@ impl Shard {
     /// entries first (which needs the write lock, taken only when required).
     pub(crate) fn read_fresh<R>(&self, t: f64, f: impl FnOnce(&ShardState) -> R) -> R {
         {
-            let state = self.state.read();
+            let state = self.state.read().unwrap_or_else(PoisonError::into_inner);
             if state.next_expiry() > t {
                 return f(&state);
             }
         }
         self.write_acquisitions.fetch_add(1, Ordering::Relaxed);
-        let mut state = self.state.write();
+        let mut state = self.state.write().unwrap_or_else(PoisonError::into_inner);
         state.refresh_expired(t);
         f(&state)
     }
 
     /// Shared access for time-independent reads (counts, sums).
     pub(crate) fn read<R>(&self, f: impl FnOnce(&ShardState) -> R) -> R {
-        f(&self.state.read())
+        f(&self.state.read().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Exclusive access for mutations.
     pub(crate) fn write<R>(&self, f: impl FnOnce(&mut ShardState) -> R) -> R {
         self.write_acquisitions.fetch_add(1, Ordering::Relaxed);
-        f(&mut self.state.write())
+        f(&mut self.state.write().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Number of write-lock acquisitions so far.
     pub(crate) fn write_acquisitions(&self) -> u64 {
         self.write_acquisitions.load(Ordering::Relaxed)
+    }
+
+    /// Whether a panic while holding the write lock poisoned it.
+    #[cfg(test)]
+    pub(crate) fn is_poisoned(&self) -> bool {
+        self.state.is_poisoned()
     }
 }

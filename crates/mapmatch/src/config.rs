@@ -1,9 +1,7 @@
 //! Map-matcher configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// Tunable parameters of the incremental map matcher.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MatcherConfig {
     /// `u_m`: maximum distance (metres) between a sensed position and a link
     /// for the position to be matched to that link. "The parameter u_m

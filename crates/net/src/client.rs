@@ -52,6 +52,7 @@ pub struct NetClient {
     config: ClientConfig,
     max_message_bytes: u32,
     bytes_sent: u64,
+    bytes_received: u64,
     /// Highest update sequence observed in frames sent on this client
     /// (across reconnects), so a reconnect can resume above everything the
     /// old connection may have applied.
@@ -103,6 +104,7 @@ impl NetClient {
             config,
             max_message_bytes,
             bytes_sent: 0,
+            bytes_received: 0,
             max_sequence_sent: 0,
             send_buf: Vec::new(),
             recv_buf: Vec::new(),
@@ -162,6 +164,12 @@ impl NetClient {
     /// Bytes this client has put on the wire (length prefixes included).
     pub fn bytes_sent(&self) -> u64 {
         self.bytes_sent
+    }
+
+    /// Bytes this client has read off the wire (length prefixes included),
+    /// the mirror of [`NetClient::bytes_sent`].
+    pub fn bytes_received(&self) -> u64 {
+        self.bytes_received
     }
 
     /// Sends one update frame. Fire-and-forget: the server queues the frame
@@ -283,7 +291,7 @@ impl NetClient {
         out: &mut Vec<PositionRecord>,
     ) -> Result<(), NetError> {
         self.send(request)?;
-        if !read_message_into(&mut self.reader, self.max_message_bytes, &mut self.recv_buf)? {
+        if !self.read_response()? {
             return Err(NetError::Closed);
         }
         match decode_positions_into(&self.recv_buf, out) {
@@ -325,11 +333,21 @@ impl NetClient {
     }
 
     fn receive(&mut self) -> Result<Response, NetError> {
-        if read_message_into(&mut self.reader, self.max_message_bytes, &mut self.recv_buf)? {
+        if self.read_response()? {
             Ok(Response::decode(&self.recv_buf)?)
         } else {
             Err(NetError::Closed)
         }
+    }
+
+    /// Reads one response into `recv_buf` and counts its bytes; `false` when
+    /// the server closed the connection at a message boundary.
+    fn read_response(&mut self) -> Result<bool, NetError> {
+        let read = read_message_into(&mut self.reader, self.max_message_bytes, &mut self.recv_buf)?;
+        if read {
+            self.bytes_received += 4 + self.recv_buf.len() as u64;
+        }
+        Ok(read)
     }
 }
 

@@ -109,8 +109,11 @@ mod tests {
         assert!(events[0].entered);
         assert!(client.poll_zones(2.0).expect("second poll").is_empty(), "no transition");
 
+        let (sent, received) = (client.bytes_sent(), client.bytes_received());
         drop(client);
         let stats = server.shutdown();
+        assert_eq!(stats.bytes_received, sent, "both ends count the same request bytes");
+        assert_eq!(stats.bytes_sent, received, "both ends count the same response bytes");
         assert_eq!(stats.connections_accepted, 1);
         assert_eq!(stats.connections_closed, 1);
         assert_eq!(stats.connections_dropped, 0);

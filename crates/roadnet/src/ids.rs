@@ -5,15 +5,14 @@
 //! link's identifier. Newtypes keep node and link ids from being confused and
 //! keep the update message representation compact (a `u32` each).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of an intersection (node) in a [`crate::RoadNetwork`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
 /// Identifier of a link (road segment between two intersections).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LinkId(pub u32);
 
 impl NodeId {

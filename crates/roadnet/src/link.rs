@@ -2,7 +2,6 @@
 
 use crate::ids::{LinkId, NodeId};
 use mbdr_geo::{kmh_to_ms, Aabb, Point, Polyline, Vec2};
-use serde::{Deserialize, Serialize};
 
 /// Functional classification of a road, carrying a default speed limit.
 ///
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// further improve the performance of the map-based protocol", and the
 /// future-work section proposes speed-limit-aware prediction. The generators
 /// tag every link with a class so those extensions can be exercised.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RoadClass {
     /// Autobahn / freeway carriageway.
     Freeway,
@@ -66,7 +65,7 @@ impl RoadClass {
 /// Links are traversable in both directions (the paper's model has no one-way
 /// information); direction of travel is expressed by entering the link from
 /// either its `from` or its `to` node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Link {
     /// Unique identifier of the link.
     pub id: LinkId,

@@ -4,14 +4,13 @@ use crate::ids::{LinkId, NodeId};
 use crate::link::Link;
 use crate::node::Node;
 use mbdr_geo::Aabb;
-use serde::{Deserialize, Serialize};
 
 /// A complete road map: intersections, links and their adjacency.
 ///
 /// Nodes and links are stored in dense `Vec`s indexed by their ids (the
 /// [`crate::NetworkBuilder`] guarantees contiguous ids), so every lookup on
 /// the map-matching and prediction hot paths is an array access.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RoadNetwork {
     nodes: Vec<Node>,
     links: Vec<Link>,

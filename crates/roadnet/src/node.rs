@@ -2,14 +2,13 @@
 
 use crate::ids::NodeId;
 use mbdr_geo::Point;
-use serde::{Deserialize, Serialize};
 
 /// An intersection: a uniquely identified point where links meet.
 ///
 /// In the paper's map model an intersection is "described by a unique
 /// identifier and their exact geographical location". Dead-end road endpoints
 /// are also modelled as nodes (with a single incident link).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     /// Unique identifier of the intersection.
     pub id: NodeId,

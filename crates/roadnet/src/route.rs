@@ -14,12 +14,11 @@
 use crate::ids::{LinkId, NodeId};
 use crate::network::RoadNetwork;
 use mbdr_geo::Point;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// A route: an ordered sequence of nodes and the links connecting them.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Route {
     /// Visited nodes, in order (one more than `links`).
     pub nodes: Vec<NodeId>,

@@ -6,11 +6,10 @@
 //! map-based predictor has to guess at an intersection).
 
 use crate::network::RoadNetwork;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Summary statistics of a [`RoadNetwork`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetworkStats {
     /// Number of intersections.
     pub nodes: usize,

@@ -9,11 +9,10 @@
 //! globally or per object — and answers the most-likely-next-link query.
 
 use crate::ids::{LinkId, NodeId};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Key of a transition observation: arriving over `from_link` at `node`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TransitionKey {
     /// Intersection being crossed.
     pub node: NodeId,
@@ -23,7 +22,7 @@ pub struct TransitionKey {
 
 /// Counts of which outgoing link was taken for each (node, arriving link)
 /// pair.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TransitionTable {
     counts: HashMap<TransitionKey, HashMap<LinkId, u64>>,
     total_observations: u64,

@@ -15,12 +15,11 @@
 //! on a real packet link.
 
 use mbdr_core::{Frame, Update};
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Accumulated traffic statistics of a channel.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ChannelStats {
     /// Number of messages sent.
     pub messages: u64,

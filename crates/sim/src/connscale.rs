@@ -24,7 +24,7 @@ use mbdr_net::{NetClient, NetServer, ServerConfig, ServerStatsSnapshot};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Half-extent of the square world the hot objects live in, metres.
 const WORLD_HALF_M: f64 = 5_000.0;
@@ -227,6 +227,21 @@ pub fn build_service(config: &ConnScaleConfig) -> Arc<LocationService> {
     service
 }
 
+/// Bounded wait for the server's `bytes_sent` to reach `bytes_read` (what the
+/// clients have read), then a stats snapshot. The reactor counts a write only
+/// after `write()` returns, so a client can read its last response before the
+/// server has counted it — and the baselines gate `bytes_sent` strictly.
+fn stats_after_reads(server: &NetServer, bytes_read: u64) -> ServerStatsSnapshot {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let stats = server.stats();
+        if stats.bytes_sent >= bytes_read || Instant::now() >= deadline {
+            return stats;
+        }
+        std::thread::yield_now();
+    }
+}
+
 /// Runs the connection-scale workload over loopback.
 pub fn run_connscale_workload(config: &ConnScaleConfig) -> ConnScaleReport {
     assert!(config.connections > 0, "workload needs at least one connection");
@@ -254,11 +269,11 @@ pub fn run_connscale_workload(config: &ConnScaleConfig) -> ConnScaleReport {
     let openers = config.opener_threads.max(1).min(config.connections);
     let opened_at = Instant::now();
     let mut clients: Vec<NetClient> = Vec::with_capacity(config.connections);
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for o in 0..openers {
             let share = (config.connections + openers - 1 - o) / openers;
-            handles.push(scope.spawn(move |_| {
+            handles.push(scope.spawn(move || {
                 let mut batch = Vec::with_capacity(share);
                 for _ in 0..share {
                     batch.push(NetClient::connect(addr).expect("crowd connects"));
@@ -269,8 +284,7 @@ pub fn run_connscale_workload(config: &ConnScaleConfig) -> ConnScaleReport {
         for handle in handles {
             clients.extend(handle.join().expect("opener panicked"));
         }
-    })
-    .expect("opener scope panicked");
+    });
     let open_wall_s = opened_at.elapsed().as_secs_f64().max(1e-9);
 
     // The whole crowd is connected: this is the moment the fixed-pool claim
@@ -284,11 +298,11 @@ pub fn run_connscale_workload(config: &ConnScaleConfig) -> ConnScaleReport {
     let mut applied_total = 0u64;
     let mut frames_total = 0u64;
     let mut walls: Vec<f64> = Vec::new();
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for (d, chunk) in hot.chunks_mut(per_driver).enumerate() {
             let base = d * per_driver;
-            handles.push(scope.spawn(move |_| {
+            handles.push(scope.spawn(move || {
                 let started = Instant::now();
                 let mut applied = 0u64;
                 let mut frames = 0u64;
@@ -310,8 +324,7 @@ pub fn run_connscale_workload(config: &ConnScaleConfig) -> ConnScaleReport {
             frames_total += frames;
             walls.push(wall);
         }
-    })
-    .expect("hot scope panicked");
+    });
     let ingest_wall_s = walls.iter().copied().fold(0.0, f64::max).max(1e-9);
 
     // Phase 3: rect queries at the pinned instant, idle crowd still attached.
@@ -329,7 +342,9 @@ pub fn run_connscale_workload(config: &ConnScaleConfig) -> ConnScaleReport {
     latencies.sort_by(f64::total_cmp);
 
     // Snapshot at full load, then let everything go.
-    let stats = server.stats();
+    let bytes_read = query_client.bytes_received()
+        + hot.iter().chain(&clients).map(NetClient::bytes_received).sum::<u64>();
+    let stats = stats_after_reads(&server, bytes_read);
     let updates_sent =
         (config.hot_connections * config.frames_per_hot * config.updates_per_frame) as u64;
     let pool_threads = server.pool_threads();

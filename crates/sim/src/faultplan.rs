@@ -4,7 +4,7 @@
 //! outage window: the disk dies just before frame `kill_frame` is journaled
 //! and heals just before frame `heal_frame`. Deriving the window from the
 //! seed (instead of hard-coding it) keeps the fault workload honest — the
-//! acceptance criterion is that the seeded fsync-kill is reproducible from
+//! requirement is that the seeded fsync-kill is reproducible from
 //! the seed alone, so the schedule must be a pure function of it. The same
 //! SplitMix64 mixer as the journal's own fault scheduler is used, so one
 //! seed word drives both layers identically across runs.

@@ -5,7 +5,7 @@
 //! fleets against one location service. This module simulates that workload:
 //! one city map, `objects` vehicles each driving its own errand route, every
 //! vehicle running its own update protocol against its own server-side
-//! tracker. Per-object simulations are independent and run on crossbeam
+//! tracker. Per-object simulations are independent and run on std scoped
 //! scoped threads.
 
 use crate::metrics::RunMetrics;
@@ -104,11 +104,11 @@ pub fn run_fleet(config: &FleetConfig) -> FleetResult {
     let workers =
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(config.objects);
     let chunk = config.objects.div_ceil(workers);
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for (worker_index, out_chunk) in results.chunks_mut(chunk).enumerate() {
             let base = &base;
             let base_ctx = &base_ctx;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for (offset, slot) in out_chunk.iter_mut().enumerate() {
                     let object_index = worker_index * chunk + offset;
                     let data =
@@ -121,8 +121,7 @@ pub fn run_fleet(config: &FleetConfig) -> FleetResult {
                 }
             });
         }
-    })
-    .expect("fleet worker panicked");
+    });
 
     let mut per_object = Vec::with_capacity(config.objects);
     let mut traces = Vec::with_capacity(config.objects);

@@ -12,7 +12,7 @@
 //! * [`metrics`] — what comes out: update counts, updates per hour, payload
 //!   bytes, and the distribution of the server-side deviation.
 //! * [`sweep`] — the experiment driver: a grid of (scenario × protocol ×
-//!   requested accuracy) runs, executed in parallel with crossbeam scoped
+//!   requested accuracy) runs, executed in parallel with std scoped
 //!   threads, producing the data behind Figures 7–10.
 //! * [`degraded`] — the lossy-link channel model: a [`channel::MessageChannel`]
 //!   carrying encoded frames that are dropped, duplicated, jittered and

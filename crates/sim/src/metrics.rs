@@ -1,11 +1,9 @@
 //! Result metrics of a protocol run.
 
-use serde::{Deserialize, Serialize};
-
 /// Distribution of the server-side deviation (distance between the position
 /// the server would report and the true position), sampled once per sensor
 /// fix.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviationStats {
     /// Mean deviation, metres.
     pub mean: f64,
@@ -46,7 +44,7 @@ impl DeviationStats {
 }
 
 /// Everything measured in one protocol run over one trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunMetrics {
     /// Protocol name.
     pub protocol: String,

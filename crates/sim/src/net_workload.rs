@@ -269,11 +269,11 @@ pub fn run_net_workload(config: &NetWorkloadConfig) -> NetWorkloadReport {
 
     // Phase 1: concurrent producer connections, round-robin fleet partition.
     let mut ingest_results: Vec<(u64, u64, u64, f64)> = Vec::new();
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for p in 0..config.producer_connections {
             let scripts = &scripts;
-            handles.push(scope.spawn(move |_| {
+            handles.push(scope.spawn(move || {
                 let mut client = NetClient::connect(addr).expect("producer connects");
                 let started = Instant::now();
                 let mut frames = 0u64;
@@ -297,8 +297,7 @@ pub fn run_net_workload(config: &NetWorkloadConfig) -> NetWorkloadReport {
         for handle in handles {
             ingest_results.push(handle.join().expect("producer connection panicked"));
         }
-    })
-    .expect("producer scope panicked");
+    });
 
     let frames_sent: u64 = ingest_results.iter().map(|r| r.0).sum();
     let updates_applied: u64 = ingest_results.iter().map(|r| r.1).sum();
@@ -307,10 +306,10 @@ pub fn run_net_workload(config: &NetWorkloadConfig) -> NetWorkloadReport {
     // Phase 2: concurrent query connections at the fixed post-ingest instant.
     let t_q = virtual_duration;
     let mut query_results: Vec<QueryTally> = Vec::new();
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for q in 0..config.query_connections {
-            handles.push(scope.spawn(move |_| {
+            handles.push(scope.spawn(move || {
                 let mut client = NetClient::connect(addr).expect("query connection connects");
                 let mut rng = StdRng::seed_from_u64(
                     config.seed ^ (q as u64 + 1).wrapping_mul(0xA076_1D64_78BD_642F),
@@ -370,8 +369,7 @@ pub fn run_net_workload(config: &NetWorkloadConfig) -> NetWorkloadReport {
         for handle in handles {
             query_results.push(handle.join().expect("query connection panicked"));
         }
-    })
-    .expect("query scope panicked");
+    });
 
     let queries_issued = (config.query_connections * config.queries_per_connection) as u64;
     let query_wall_s = query_results.iter().map(|t| t.wall_s).fold(0.0, f64::max).max(1e-9);

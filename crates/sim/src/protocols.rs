@@ -17,11 +17,10 @@ use mbdr_core::{
 use mbdr_geo::Polyline;
 use mbdr_roadnet::{LinkLocator, RoadNetwork, TransitionTable};
 use mbdr_trace::ScenarioData;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// The protocol variants the simulator can run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProtocolKind {
     /// Non-DR distance-based reporting (the baseline of Figs. 7–10).
     DistanceBased,

@@ -249,11 +249,11 @@ pub(crate) fn build_scripts(
     slots.resize_with(objects, || None);
     let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(objects);
     let chunk = objects.div_ceil(workers);
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for (worker_index, out_chunk) in slots.chunks_mut(chunk).enumerate() {
             let base = &base;
             let base_ctx = &base_ctx;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for (offset, slot) in out_chunk.iter_mut().enumerate() {
                     let object_index = worker_index * chunk + offset;
                     let data = object_scenario(base, object_index, seed, trip_length_m);
@@ -269,8 +269,7 @@ pub(crate) fn build_scripts(
                 }
             });
         }
-    })
-    .expect("script builder panicked");
+    });
     (base, slots.into_iter().map(|s| s.expect("every object built")).collect())
 }
 
@@ -370,12 +369,12 @@ pub fn run_service_workload(config: &WorkloadConfig) -> WorkloadReport {
 
     let mut ingest_results: Vec<(u64, f64)> = Vec::new();
     let mut query_results: Vec<QueryTally> = Vec::new();
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let mut producer_handles = Vec::new();
         for (p, part) in partitions.iter().enumerate() {
             let frontiers = &frontiers;
             let service = &service;
-            producer_handles.push(scope.spawn(move |_| {
+            producer_handles.push(scope.spawn(move || {
                 let started = Instant::now();
                 let mut pos = 0usize;
                 let mut applied = 0u64;
@@ -409,7 +408,7 @@ pub fn run_service_workload(config: &WorkloadConfig) -> WorkloadReport {
             let frontiers = &frontiers;
             let service = &service;
             let scripts = &scripts;
-            query_handles.push(scope.spawn(move |_| {
+            query_handles.push(scope.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(
                     config.seed ^ (q as u64 + 1).wrapping_mul(0xA076_1D64_78BD_642F),
                 );
@@ -482,8 +481,7 @@ pub fn run_service_workload(config: &WorkloadConfig) -> WorkloadReport {
         for h in query_handles {
             query_results.push(h.join().expect("query thread panicked"));
         }
-    })
-    .expect("workload thread panicked");
+    });
 
     let updates_applied: u64 = ingest_results.iter().map(|(n, _)| n).sum();
     let ingest_wall_s = ingest_results.iter().map(|&(_, s)| s).fold(0.0, f64::max).max(1e-9);

@@ -5,17 +5,16 @@
 //! person) and reports updates per hour, absolute and relative to the
 //! distance-based baseline — exactly the two panels of each figure.
 //!
-//! Runs are independent, so they execute in parallel on crossbeam scoped
+//! Runs are independent, so they execute in parallel on std scoped
 //! threads; the shared map, spatial index and trace are only read.
 
 use crate::metrics::RunMetrics;
 use crate::protocols::{ProtocolContext, ProtocolKind};
 use crate::runner::{run_protocol, RunConfig};
 use mbdr_trace::ScenarioData;
-use serde::{Deserialize, Serialize};
 
 /// One (protocol, requested accuracy) measurement of a sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepPoint {
     /// Protocol that was run.
     pub protocol: ProtocolKind,
@@ -30,7 +29,7 @@ pub struct SweepPoint {
 }
 
 /// The result of sweeping one scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepResult {
     /// Scenario name (Table 1 row label).
     pub scenario: String,
@@ -86,14 +85,14 @@ pub fn sweep_scenario(
     outcomes.resize_with(jobs.len(), || None);
     let workers =
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(jobs.len().max(1));
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for (chunk_jobs, chunk_out) in jobs
             .chunks(jobs.len().div_ceil(workers))
             .zip(outcomes.chunks_mut(jobs.len().div_ceil(workers)))
         {
             let ctx = &ctx;
             let data = &data;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for ((kind, accuracy), slot) in chunk_jobs.iter().zip(chunk_out.iter_mut()) {
                     let protocol = kind.build(ctx, *accuracy);
                     let outcome = run_protocol(&data.trace, protocol, run_config);
@@ -101,8 +100,7 @@ pub fn sweep_scenario(
                 }
             });
         }
-    })
-    .expect("sweep worker panicked");
+    });
 
     // Relative rates against the distance-based baseline.
     let flat: Vec<(ProtocolKind, f64, RunMetrics)> =

@@ -5,9 +5,6 @@
 //! (Section 3). This crate provides that substrate, built from scratch on top
 //! of [`mbdr_geo`]:
 //!
-//! * [`GridIndex`] — a uniform grid (spatial hash). Simple, very fast to build
-//!   and ideal for the repeated small-radius "which links are within `u_m` of
-//!   me?" queries the map matcher issues every second.
 //! * [`RTree`] — a bulk-loaded STR (Sort-Tile-Recursive) R-tree with range and
 //!   (k-)nearest-neighbour queries. Used for larger maps and for the
 //!   location-service queries (range, nearest taxi).
@@ -15,8 +12,8 @@
 //!   removed after insertion; the location service maintains one per shard to
 //!   keep its range/nearest queries index-pruned while objects move.
 //! * [`SpatialIndex`] — the common query trait, so the map matcher and the
-//!   location service are index-agnostic (and the benchmarks can compare the
-//!   implementations).
+//!   location service are index-agnostic (and the equivalence tests can
+//!   compare the implementations).
 //!
 //! Entries are `(Aabb, T)` pairs; the caller decides what the payload `T` is
 //! (a link id, an object id, …) and how precise the final distance filter must
@@ -27,12 +24,10 @@
 #![deny(unsafe_code)]
 
 pub mod cells;
-pub mod grid;
 pub mod moving;
 pub mod rtree;
 
 pub use cells::SeenScratch;
-pub use grid::GridIndex;
 pub use moving::MovingIndex;
 pub use rtree::RTree;
 

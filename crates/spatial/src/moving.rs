@@ -1,11 +1,10 @@
 //! A keyed, incrementally-updatable grid index for moving objects.
 //!
-//! [`GridIndex`](crate::GridIndex) and [`RTree`](crate::RTree) are build-once
-//! structures: perfect for static map geometry, useless for a store whose
-//! entries (tracked objects) move on every update. [`MovingIndex`] fills that
-//! gap: the same uniform-grid cell structure, but entries are addressed by a
-//! caller-chosen key and can be inserted, moved and removed in O(cells per
-//! entry) — the operation the location service performs on every ingested
+//! [`RTree`](crate::RTree) is a build-once structure: perfect for static map
+//! geometry, useless for a store whose entries (tracked objects) move on every
+//! update. [`MovingIndex`] fills that gap: a uniform-grid cell structure whose
+//! entries are addressed by a caller-chosen key and can be inserted, moved and
+//! removed in O(cells per entry) — the operation the location service performs on every ingested
 //! position update.
 //!
 //! ## Storage layout

@@ -7,10 +7,9 @@
 //! presets correspond to the paper's four movement patterns.
 
 use mbdr_geo::kmh_to_ms;
-use serde::{Deserialize, Serialize};
 
 /// Behavioural parameters of the simulated mobile object.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriverProfile {
     /// Maximum speed the object will ever travel, m/s (vehicle capability or
     /// personal walking pace).

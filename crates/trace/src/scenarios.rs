@@ -21,10 +21,9 @@ use crate::route_plan::{
 use crate::types::{Fix, Trace};
 use mbdr_roadnet::gen::{campus, city_grid, freeway, interurban};
 use mbdr_roadnet::{NodeId, RoadNetwork, Router};
-use serde::{Deserialize, Serialize};
 
 /// Which of the paper's four movement patterns to reproduce.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ScenarioKind {
     /// Car on a freeway (Fig. 7).
     Freeway,
@@ -106,7 +105,7 @@ impl ScenarioKind {
 }
 
 /// A scenario specification: which pattern, at what scale, with which seed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Scenario {
     /// Movement pattern.
     pub kind: ScenarioKind,

@@ -2,11 +2,10 @@
 
 use crate::types::Trace;
 use mbdr_geo::{format_duration_hm, ms_to_kmh};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Length, duration and speed characteristics of a trace (one row of Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceStats {
     /// Path length, kilometres.
     pub length_km: f64,

@@ -1,10 +1,9 @@
 //! Trace data types: ground-truth samples, sensor fixes and whole traces.
 
 use mbdr_geo::Point;
-use serde::{Deserialize, Serialize};
 
 /// One ground-truth sample of the simulated object's state.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GroundTruth {
     /// Simulation time, seconds since the start of the trace.
     pub t: f64,
@@ -18,7 +17,7 @@ pub struct GroundTruth {
 
 /// One positioning-sensor output ("sighting"): what the paper's source reads
 /// from its GPS receiver once per second.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fix {
     /// Timestamp, seconds since the start of the trace.
     pub t: f64,
@@ -33,7 +32,7 @@ pub struct Fix {
 /// and the ground truth the evaluation measures deviations against.
 ///
 /// `fixes[i]` and `ground_truth[i]` always refer to the same instant.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Trace {
     /// Sensor outputs at the sampling rate (1 Hz in all paper scenarios).
     pub fixes: Vec<Fix>,
